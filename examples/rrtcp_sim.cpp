@@ -1,5 +1,5 @@
 // rrtcp_sim — a small command-line driver over the public API: build a
-// dumbbell, run any mix of TCP variants over a drop-tail or RED (optionally
+// dumbbell scenario, run any mix of TCP variants over a drop-tail or RED (optionally
 // ECN) bottleneck with optional random loss, and print per-flow results.
 //
 //   rrtcp_sim [options]
@@ -19,15 +19,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
-#include "net/red.hpp"
+#include "harness/scenario.hpp"
+#include "net/loss_model.hpp"
+#include "net/reorder.hpp"
 #include "sim/log.hpp"
-#include "sim/simulator.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -98,29 +94,29 @@ int main(int argc, char** argv) {
   using namespace rrtcp;
   const Options o = parse(argc, argv);
 
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = o.flows;
-  net::RedQueue* red = nullptr;
+  harness::ScenarioSpec spec;
+  spec.seed = o.seed;
+  spec.horizon = sim::Time::seconds(o.time_s);
+  spec.instruments = {.tracers = false, .audit = harness::AuditMode::kNone};
   if (o.red) {
-    netcfg.make_bottleneck_queue = [&]() -> std::unique_ptr<net::QueueDisc> {
-      net::RedConfig rc;
-      rc.buffer_packets = std::max<std::uint64_t>(o.buffer, 3);
-      rc.max_th = rc.buffer_packets * 0.8;
-      rc.min_th = rc.buffer_packets * 0.2;
-      rc.ecn = o.ecn;
-      rc.seed = o.seed;
-      rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
-      auto q = std::make_unique<net::RedQueue>(sim, rc);
-      red = q.get();
-      return q;
-    };
+    net::RedConfig rc;
+    rc.buffer_packets = std::max<std::uint64_t>(o.buffer, 3);
+    rc.max_th = rc.buffer_packets * 0.8;
+    rc.min_th = rc.buffer_packets * 0.2;
+    rc.ecn = o.ecn;
+    rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
+    spec.bottleneck = harness::QueueSpec::red_queue(rc);  // seeded by o.seed
   } else {
-    netcfg.make_bottleneck_queue = [&] {
-      return std::make_unique<net::DropTailQueue>(o.buffer);
-    };
+    spec.bottleneck = harness::QueueSpec::drop_tail(o.buffer);
   }
-  net::DumbbellTopology topo{sim, netcfg};
+  tcp::TcpConfig tcfg;
+  tcfg.ecn_enabled = o.ecn;
+  spec.add_flows(o.flows,
+                 {.variant = o.variant, .bytes = o.bytes, .tcp = tcfg},
+                 sim::Time::milliseconds(200));
+  harness::Scenario sc{spec};
+  net::DumbbellTopology& topo = sc.topology();
+  const net::RedQueue* red = sc.red();
   if (o.loss > 0)
     topo.bottleneck().set_loss_model(
         std::make_unique<net::UniformLossModel>(o.loss, o.seed));
@@ -132,33 +128,19 @@ int main(int argc, char** argv) {
     topo.bottleneck().set_reorder_model(std::make_unique<net::ReorderModel>(
         o.reorder, sim::Time::milliseconds(300), o.seed + 2));
 
-  tcp::TcpConfig tcfg;
-  tcfg.ecn_enabled = o.ecn;
-
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> sources;
-  for (int i = 0; i < o.flows; ++i) {
-    flows.push_back(app::make_flow(o.variant, sim, topo.sender_node(i),
-                                   topo.receiver_node(i), i + 1, tcfg));
-    sources.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, sim::Time::milliseconds(200) * i,
-        o.bytes));
-  }
-
-  const sim::Time horizon = sim::Time::seconds(o.time_s);
-  sim.run_until(horizon);
+  sc.run();
 
   stats::Table table{{"flow", "goodput (kbit/s)", "done", "rtx", "timeouts",
                       "ecn reductions"}};
   double total = 0;
   for (int i = 0; i < o.flows; ++i) {
-    const auto& st = flows[i].sender->stats();
+    const auto& st = sc.sender(i).stats();
     const double kbps =
-        flows[i].receiver->bytes_in_order() * 8.0 / o.time_s / 1e3;
+        sc.flow(i).receiver->bytes_in_order() * 8.0 / o.time_s / 1e3;
     total += kbps;
     table.add_row({stats::Table::cell("%d", i + 1),
                    stats::Table::cell("%.1f", kbps),
-                   flows[i].sender->complete() ? "yes" : "-",
+                   sc.sender(i).complete() ? "yes" : "-",
                    stats::Table::cell("%llu",
                                       static_cast<unsigned long long>(st.retransmissions)),
                    stats::Table::cell("%llu", static_cast<unsigned long long>(st.timeouts)),

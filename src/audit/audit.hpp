@@ -31,9 +31,6 @@ class ScopedAudit {
   void attach_queue(net::QueueDisc& queue, const char* name) {
     session_.attach_queue(queue, name);
   }
-  void attach_topology(net::DumbbellTopology& topo) {
-    session_.attach_topology(topo);
-  }
 
   static constexpr bool enabled() { return true; }
   AuditSession& session() { return session_; }
@@ -62,8 +59,6 @@ class ScopedAudit {
   }
   template <typename Queue>
   void attach_queue(Queue&, const char*) {}
-  template <typename Topo>
-  void attach_topology(Topo&) {}
 
   static constexpr bool enabled() { return false; }
 };

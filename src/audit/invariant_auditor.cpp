@@ -145,31 +145,21 @@ void AuditSession::attach_queue(net::QueueDisc& queue, const char* name) {
   queue.set_observer(queue_auditors_.back().get());
 }
 
-void AuditSession::attach_topology(net::DumbbellTopology& topo) {
-  attach_queue(topo.bottleneck().queue(), "btl");
-  attach_queue(topo.reverse_bottleneck().queue(), "rbtl");
-  // Artificial (loss-model) drops on the data path also remove data copies
-  // from the pipe. The reverse bottleneck carries only ACKs — not tracked.
-  loss_links_.push_back(
-      {&topo.bottleneck(), topo.bottleneck().loss_model_drops()});
-}
-
 void AuditSession::pipe_check(sim::Time t) {
   // Aggregate conservation over the attached flows: every data copy that
   // leaves the network was either delivered or dropped somewhere we watch,
   // so deliveries + watched drops can never exceed transmissions. Drops at
-  // unwatched points only make the inequality slacker, never tighter —
-  // attaching a subset of queues cannot produce a false positive. Requires
-  // every sender in the simulation to be attached with its receiver
-  // (AuditSession::attach pairs them; scenario/bench attach all flows).
+  // unwatched points (other queues, link loss models) only make the
+  // inequality slacker, never tighter — attaching a subset of queues
+  // cannot produce a false positive. Requires every sender in the
+  // simulation to be attached with its receiver (AuditSession::attach
+  // pairs them; scenario/bench attach all flows).
   if (!pipe_enabled_ || sender_auditors_.empty()) return;
   std::uint64_t sent = 0, delivered = 0, dropped = 0;
   for (const auto& a : sender_auditors_) sent += a->data_sends();
   for (const auto& r : receivers_)
     delivered += r.receiver->stats().data_packets - r.base_data_packets;
   for (const auto& q : queue_auditors_) dropped += q->data_drops();
-  for (const auto& l : loss_links_)
-    dropped += l.link->loss_model_drops() - l.base_drops;
   if (delivered + dropped > sent) {
     fail(InvariantId::kPipeConserve, t,
          "delivered=%llu + dropped=%llu > sent=%llu",

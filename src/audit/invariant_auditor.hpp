@@ -33,7 +33,6 @@
 #include "sim/assert.hpp"
 
 #include "core/rr_sender.hpp"
-#include "net/dumbbell.hpp"
 #include "net/queue_disc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -223,9 +222,6 @@ class AuditSession {
   // Attach accounting checks to a queue. `name` labels ring entries and must
   // outlive the session (string literals).
   void attach_queue(net::QueueDisc& queue, const char* name);
-  // Convenience: audit both bottleneck queues of a dumbbell and register the
-  // forward bottleneck's loss-model drops for pipe conservation.
-  void attach_topology(net::DumbbellTopology& topo);
 
   // Results.
   bool clean() const { return violations_.empty(); }
@@ -250,14 +246,10 @@ class AuditSession {
 
   static void dump_thunk(void* self, std::FILE* out);
 
-  // Per-receiver / per-link baselines so counts start at the attach point.
+  // Per-receiver baselines so counts start at the attach point.
   struct ReceiverRef {
     const tcp::TcpReceiver* receiver;
     std::uint64_t base_data_packets;
-  };
-  struct LossLinkRef {
-    const net::Link* link;
-    std::uint64_t base_drops;
   };
 
   sim::Simulator& sim_;
@@ -271,7 +263,6 @@ class AuditSession {
   std::vector<std::unique_ptr<InvariantAuditor>> sender_auditors_;
   std::vector<std::unique_ptr<QueueAuditor>> queue_auditors_;
   std::vector<ReceiverRef> receivers_;
-  std::vector<LossLinkRef> loss_links_;  // loss-model drops on data path
   bool pipe_enabled_ = true;  // false once a sender attaches w/o receiver
 };
 

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 
-#include "app/ftp.hpp"
-#include "harness/instrumentation.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
 #include "sim/assert.hpp"
-#include "sim/simulator.hpp"
 
 namespace rrtcp::harness {
 
@@ -21,67 +15,45 @@ ChaosRunOutcome run_chaos_schedule(const chaos::FaultPlan& plan,
                                    std::vector<chaos::WatchdogReport>* reports,
                                    std::vector<audit::Violation>* violations) {
   RRTCP_ASSERT(cfg.n_flows >= 1);
-  sim::Simulator sim;
-
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = cfg.n_flows;
-  netcfg.make_bottleneck_queue = [&cfg] {
-    return std::make_unique<net::DropTailQueue>(cfg.buffer_packets);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
+  ScenarioSpec spec;
+  spec.name = "chaos";
+  spec.seed = seed;
+  spec.horizon = cfg.horizon;
+  spec.bottleneck = QueueSpec::drop_tail(cfg.buffer_packets);
+  spec.add_flows(cfg.n_flows,
+                 {.variant = cfg.variant, .bytes = cfg.bytes_per_flow,
+                  .tcp = cfg.tcp},
+                 cfg.start_stagger);
+  // kRecord audit mode: the soak inspects counts in every build
+  // configuration. No per-flow tracers — the soak grades outcomes, not
+  // throughput curves.
+  spec.instruments = {.tracers = false,
+                      .audit = AuditMode::kRecord,
+                      .watchdog = true,
+                      .watchdog_config = cfg.watchdog};
+  spec.flow_maker = cfg.flow_maker;
+  Scenario sc{std::move(spec)};
+  net::DumbbellTopology& topo = sc.topology();
 
   // Interpose one injector per direction; each applies its path's subset
   // of the plan. Both draw from the same plan seed via distinct stream
   // names, so the pair replays from the single printed number.
-  chaos::FaultInjector fwd_injector{sim, topo.bottleneck(),
+  chaos::FaultInjector fwd_injector{sc.sim(), topo.bottleneck(),
                                     plan.subset(chaos::FaultPath::kData), seed,
                                     "chaos-fwd"};
-  chaos::FaultInjector rev_injector{sim, topo.reverse_bottleneck(),
+  chaos::FaultInjector rev_injector{sc.sim(), topo.reverse_bottleneck(),
                                     plan.subset(chaos::FaultPath::kAck), seed,
                                     "chaos-rev"};
   chaos::interpose(topo.r1(), topo.bottleneck(), fwd_injector);
   chaos::interpose(topo.r2(), topo.reverse_bottleneck(), rev_injector);
+  audit::AuditSession& audit = *sc.instrumentation().recording_session();
+  chaos::LivenessWatchdog& watchdog = *sc.instrumentation().watchdog();
 
-  std::vector<app::Flow> flows;
-  flows.reserve(static_cast<std::size_t>(cfg.n_flows));
-  for (int i = 0; i < cfg.n_flows; ++i) {
-    const auto id = static_cast<net::FlowId>(i + 1);
-    flows.push_back(cfg.flow_maker
-                        ? cfg.flow_maker(sim, topo.sender_node(i),
-                                         topo.receiver_node(i), id, cfg.tcp)
-                        : app::make_flow(cfg.variant, sim, topo.sender_node(i),
-                                         topo.receiver_node(i), id, cfg.tcp));
-  }
-
-  std::vector<app::FtpSource> sources;
-  sources.reserve(flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    sources.emplace_back(sim, *flows[i].sender,
-                         cfg.start_stagger * static_cast<std::int64_t>(i),
-                         cfg.bytes_per_flow);
-  }
-
-  // Audit + watchdog attach AFTER the flows so they detach first on the
-  // way out (observer lifetime, same pattern as the scenario runner).
-  // kRecord audit mode: the soak inspects counts in every build
-  // configuration. No per-flow tracers — the soak grades outcomes, not
-  // throughput curves.
-  InstrumentationOptions iopts;
-  iopts.tracers = false;
-  iopts.audit = AuditMode::kRecord;
-  iopts.watchdog = true;
-  iopts.watchdog_config = cfg.watchdog;
-  Instrumentation inst{sim, iopts};
-  inst.attach_topology(topo);
-  for (app::Flow& f : flows) inst.attach(f);
-  audit::AuditSession& audit = *inst.recording_session();
-  chaos::LivenessWatchdog& watchdog = *inst.watchdog();
-
-  sim.run_until(cfg.horizon);
+  sc.run();
 
   ChaosRunOutcome out;
-  for (app::Flow& f : flows) {
-    const tcp::TcpSenderBase& s = *f.sender;
+  for (int i = 0; i < sc.n_flows(); ++i) {
+    const tcp::TcpSenderBase& s = sc.sender(i);
     if (s.complete()) {
       ++out.flows_complete;
       out.last_completion = std::max(out.last_completion, s.completion_time());

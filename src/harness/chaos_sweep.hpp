@@ -19,13 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "app/flow_factory.hpp"
 #include "audit/invariant_auditor.hpp"
 #include "chaos/fault.hpp"
 #include "chaos/watchdog.hpp"
+#include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "tcp/types.hpp"
 
@@ -33,6 +33,8 @@ namespace rrtcp::harness {
 
 // Scenario shape shared by every schedule: a dumbbell with n finite FTP
 // flows of one variant, fault injectors interposed on both bottlenecks.
+// Built as a ScenarioSpec through harness::Scenario (recording audit,
+// watchdog on, tracers off).
 struct ChaosRunConfig {
   app::Variant variant = app::Variant::kRr;
   int n_flows = 2;
@@ -43,10 +45,9 @@ struct ChaosRunConfig {
   tcp::TcpConfig tcp;
   chaos::WatchdogConfig watchdog;
   // Test hook: replaces app::make_flow for every flow, letting tests drive
-  // intentionally broken senders through the identical harness path.
-  std::function<app::Flow(sim::Simulator&, net::Node& snd, net::Node& rcv,
-                          net::FlowId, const tcp::TcpConfig&)>
-      flow_maker;
+  // intentionally broken senders through the identical harness path. The
+  // FlowSpec it receives carries `tcp` above.
+  decltype(ScenarioSpec::flow_maker) flow_maker;
 };
 
 struct ChaosRunOutcome {

@@ -31,27 +31,23 @@ Instrumentation::~Instrumentation() {
   }
 }
 
-FlowInstruments& Instrumentation::attach(app::Flow& flow) {
+FlowInstruments& Instrumentation::attach(tcp::TcpSenderBase& sender,
+                                         tcp::TcpReceiver* receiver) {
   auto fi = std::make_unique<FlowInstruments>();
-  fi->sender = flow.sender.get();
+  fi->sender = &sender;
   if (opts_.tracers) {
     fi->meter = std::make_unique<stats::ThroughputMeter>();
-    fi->seq = std::make_unique<stats::SeqTracer>(flow.sender->config().mss);
+    fi->seq = std::make_unique<stats::SeqTracer>(sender.config().mss);
     fi->phases = std::make_unique<stats::PhaseTracer>();
-    flow.sender->add_observer(fi->meter.get());
-    flow.sender->add_observer(fi->seq.get());
-    flow.sender->add_observer(fi->phases.get());
+    sender.add_observer(fi->meter.get());
+    sender.add_observer(fi->seq.get());
+    sender.add_observer(fi->phases.get());
   }
-  if (gated_) gated_->attach(*flow.sender, flow.receiver.get());
-  if (recording_) recording_->attach(*flow.sender, flow.receiver.get());
-  if (watchdog_) watchdog_->attach(*flow.sender);
+  if (gated_) gated_->attach(sender, receiver);
+  if (recording_) recording_->attach(sender, receiver);
+  if (watchdog_) watchdog_->attach(sender);
   flows_.push_back(std::move(fi));
   return *flows_.back();
-}
-
-void Instrumentation::attach_topology(net::DumbbellTopology& topo) {
-  if (gated_) gated_->attach_topology(topo);
-  if (recording_) recording_->attach_topology(topo);
 }
 
 void Instrumentation::attach_queues(topo::TopologyGraph& graph,

@@ -6,8 +6,9 @@
 // after the flows exist, detach before they die, record vs abort mode by
 // context). Instrumentation owns that stack: construct it AFTER the flows
 // it will watch (so it destructs — and detaches — first), call
-// attach(flow) per flow and attach_topology(topo) once, and read the
-// per-flow tracers back by index.
+// attach(sender, receiver) per flow and attach_queues(graph, links) once,
+// and read the per-flow tracers back by index. harness::Scenario and
+// pdes::ShardedScenario both attach through here.
 //
 // Audit modes:
 //   kBuildGated — audit::ScopedAudit: a real AuditSession in abort mode
@@ -23,11 +24,9 @@
 #include <memory>
 #include <vector>
 
-#include "app/flow_factory.hpp"
 #include "audit/audit.hpp"
 #include "audit/invariant_auditor.hpp"
 #include "chaos/watchdog.hpp"
-#include "net/dumbbell.hpp"
 #include "sim/simulator.hpp"
 #include "topo/graph.hpp"
 #include "stats/throughput.hpp"
@@ -68,20 +67,17 @@ class Instrumentation {
   // Attaches the whole configured stack to one flow: tracers on the
   // sender, the auditor on sender + receiver (cross-layer pipe checks),
   // the watchdog monitor. Returns the flow's tracer bundle.
-  FlowInstruments& attach(app::Flow& flow);
+  FlowInstruments& attach(tcp::TcpSenderBase& sender,
+                          tcp::TcpReceiver* receiver);
 
-  // Queue/topology-level audit checks (conservation, capacity). Call once.
-  void attach_topology(net::DumbbellTopology& topo);
-
-  // Graph-mode equivalent: audit the queues of the listed links, labeled
-  // with the links' names (owned by the graph, which must outlive this).
-  // Call once.
+  // Queue-level audit checks (conservation, capacity) on the queues of the
+  // listed links, labeled with the links' names (owned by the graph, which
+  // must outlive this). Call once.
   void attach_queues(topo::TopologyGraph& graph,
                      const std::vector<int>& links);
 
   // Tracers of the i-th attached flow, in attach() order.
   FlowInstruments& flow(std::size_t i) { return *flows_.at(i); }
-  std::size_t flows_attached() const { return flows_.size(); }
 
   // Violations recorded so far; 0 unless AuditMode::kRecord (kBuildGated
   // aborts at the first violation instead of counting).
@@ -91,8 +87,6 @@ class Instrumentation {
 
   // Present only when options.watchdog.
   chaos::LivenessWatchdog* watchdog() { return watchdog_.get(); }
-
-  const InstrumentationOptions& options() const { return opts_; }
 
  private:
   sim::Simulator& sim_;

@@ -18,7 +18,7 @@
 //   sc.run();
 //   ... sc.instruments(0).meter->throughput_bps(...) ...
 //
-// Two topology modes:
+// Two topology modes, one build path:
 //   Dumbbell (default, spec.graph empty) — the paper's Figure 4 around
 //   spec.topology; flows are placed on consecutive host pairs. The reverse
 //   bottleneck is first-class: spec.reverse_bottleneck picks its queue, and
@@ -28,6 +28,12 @@
 //   indices; spec.audited_links lists the link queues the audit layer
 //   watches. Queue disciplines ride inside the GraphSpec's per-link
 //   factories, so spec.bottleneck is ignored in this mode.
+// A dumbbell spec is first LOWERED to the graph spec it describes (by the
+// same code in validate() and the constructor): spec.graph becomes
+// net::dumbbell_spec(spec.topology), the dumbbell-only fields resolve to
+// node indices and rates, and audited_links becomes {0, 1}. From there on
+// both modes share one validator and one builder; a graph-mode spec that
+// sets a dumbbell-only field is rejected.
 //
 // Member order in Scenario is its teardown contract: instrumentation
 // detaches first, then traffic sources stop, then flows die, then the
@@ -47,6 +53,7 @@
 #include "harness/instrumentation.hpp"
 #include "net/dumbbell.hpp"
 #include "net/red.hpp"
+#include "sim/assert.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/types.hpp"
 #include "topo/graph.hpp"
@@ -55,9 +62,8 @@
 
 namespace rrtcp::harness {
 
-// Bottleneck queue selection, as data. The sim-capturing factory function
-// in DumbbellConfig cannot live in a value-type spec (it would dangle);
-// Scenario translates this into one at build time.
+// Bottleneck queue selection, as data; the dumbbell lowering turns it into
+// the bottleneck link's queue factory.
 struct QueueSpec {
   enum class Kind { kDropTail, kRed };
   Kind kind = Kind::kDropTail;
@@ -84,15 +90,15 @@ struct FlowSpec {
   // Transfer size; nullopt = unbounded FTP. Ignored when `onoff` is set.
   std::optional<std::uint64_t> bytes = std::nullopt;
   tcp::TcpConfig tcp = {};
-  // Dumbbell mode: run this flow K_i -> S_i instead of S_i -> K_i, so its
-  // DATA crosses the reverse bottleneck and its ACKs the forward one — the
-  // reverse-path bulk flow that queues/compresses the other flows' ACKs.
+  // Dumbbell mode only: run this flow K_i -> S_i instead of S_i -> K_i, so
+  // its DATA crosses the reverse bottleneck and its ACKs the forward one —
+  // the reverse-path bulk flow that queues/compresses the other flows' ACKs.
   bool reverse = false;
   // Web-like ON/OFF source instead of FTP; `start` below overrides the
   // embedded OnOffConfig::start.
   std::optional<traffic::OnOffConfig> onoff = std::nullopt;
-  // Graph mode: endpoint node indices into the GraphSpec (required there,
-  // ignored in dumbbell mode).
+  // Graph mode: endpoint node indices into the GraphSpec (required there;
+  // dumbbell mode fills them in when it lowers the spec).
   int src_node = -1;
   int dst_node = -1;
 };
@@ -121,15 +127,15 @@ struct FlowSet {
 // src_node -> dst_node and rate_bps must be set explicitly.
 struct CbrSpec {
   std::int64_t rate_bps = 0;   // absolute rate, bits/s
-  // Dumbbell-mode convenience: when > 0, rate = fraction x the crossed
+  // Dumbbell mode only: when > 0, rate = fraction x the crossed
   // bottleneck's bandwidth (forward or reverse as placed); wins over
   // rate_bps.
   double load_fraction = 0.0;
   std::uint32_t packet_bytes = 1'000;
   sim::Time start = sim::Time::zero();
   std::optional<sim::Time> stop = std::nullopt;
-  bool reverse = false;
-  int src_node = -1;  // graph mode placement
+  bool reverse = false;  // dumbbell mode only
+  int src_node = -1;     // graph mode placement
   int dst_node = -1;
 };
 
@@ -142,7 +148,7 @@ struct SpecError {
     kNoFlows,       // empty flow list
     kBadHorizon,    // horizon <= 0
     kBadRate,       // a link/topology bandwidth <= 0
-    kBadLink,       // link or route endpoints outside the node set
+    kBadLink,       // link/route endpoints invalid
     kBadEndpoint,   // flow src/dst missing or outside the node set
     kUnroutable,    // no path between a flow's endpoints (either direction)
     kBadCbr,        // cross-traffic endpoints/rate/packet size invalid
@@ -162,9 +168,9 @@ inline constexpr int kMaxShardCount = 64;
 struct ScenarioSpec {
   std::string name = "scenario";
   // Dumbbell-mode topology knobs (bandwidths, delays, side buffers,
-  // per-flow RTT overrides). n_flows and make_bottleneck_queue are
-  // overwritten at build time from the flow/cross-traffic lists and
-  // `bottleneck`.
+  // per-flow RTT overrides). n_flows and the two queue factories are
+  // overwritten by the lowering from the flow/cross-traffic lists,
+  // `bottleneck` and `reverse_bottleneck`.
   net::DumbbellConfig topology = {};
   QueueSpec bottleneck = {};
   // Dumbbell mode: queue discipline of the reverse (ACK-path) bottleneck.
@@ -192,10 +198,9 @@ struct ScenarioSpec {
   // sweep's derived per-job seed here.
   std::uint64_t seed = 1;
   sim::Time horizon = sim::Time::seconds(60);
-  // Test/fuzz hook: when set, builds flow i in place of app::make_flow —
-  // the scenario-level twin of ChaosRunConfig::flow_maker, letting
-  // campaigns drive intentionally broken senders through the standard
-  // build path (mutant self-tests of the fuzz oracles).
+  // Test/fuzz hook: when set, builds flow i in place of app::make_flow,
+  // letting campaigns and the chaos soak drive intentionally broken
+  // senders through the standard build path.
   std::function<app::Flow(sim::Simulator&, net::Node& snd, net::Node& rcv,
                           net::FlowId id, const FlowSpec& fs)>
       flow_maker;
@@ -254,13 +259,13 @@ class Scenario {
   explicit Scenario(ScenarioSpec spec);
 
   // Structural validation of a spec WITHOUT building anything: empty flow
-  // set, non-positive rates, out-of-range link/flow/CBR endpoints,
-  // unroutable src/dst pairs (BFS over the GraphSpec, both directions —
-  // ACKs must get home too). Returns nullopt when the spec is buildable.
-  // The constructor still asserts on these as a backstop; generated specs
-  // go through here (or try_build) so a bad sample is a discard, not a
-  // crash.
-  static std::optional<SpecError> validate(const ScenarioSpec& spec);
+  // set, non-positive rates, invalid link/route/flow/CBR endpoints,
+  // unroutable src/dst pairs (along the graph's static routes, both
+  // directions — ACKs must get home too). Returns nullopt when the spec is
+  // buildable. The constructor only asserts a few backstops; generated
+  // specs go through here (or try_build) so a bad sample is a discard,
+  // not a crash.
+  static std::optional<SpecError> validate(const ScenarioSpec& in);
 
   // validate() + construct: nullptr (with *err filled when non-null) on a
   // rejected spec, the built scenario otherwise.
@@ -268,13 +273,13 @@ class Scenario {
                                              SpecError* err = nullptr);
 
   sim::Simulator& sim() { return sim_; }
-  // Dumbbell mode only.
-  net::DumbbellTopology& topology() { return *topo_; }
-  // The underlying graph, in either mode.
-  topo::TopologyGraph& graph() {
-    return graph_ ? *graph_ : topo_->graph();
+  // Dumbbell mode only: a view over graph().
+  net::DumbbellTopology& topology() {
+    RRTCP_ASSERT_MSG(topo_ != nullptr, "topology() needs a dumbbell-mode spec");
+    return *topo_;
   }
-  bool graph_mode() const { return graph_ != nullptr; }
+  // The underlying graph, in either mode.
+  topo::TopologyGraph& graph() { return *graph_; }
 
   int n_flows() const { return static_cast<int>(flows_.size()); }
   app::Flow& flow(int i) { return flows_.at(static_cast<std::size_t>(i)); }
@@ -313,16 +318,14 @@ class Scenario {
     return sim_.run_until(deadline);
   }
 
+  // The spec as built: flow sets expanded, a dumbbell spec lowered.
   const ScenarioSpec& spec() const { return spec_; }
 
  private:
-  void build_dumbbell();
-  void build_graph();
-
   ScenarioSpec spec_;
   sim::Simulator sim_;
-  std::unique_ptr<net::DumbbellTopology> topo_;   // dumbbell mode
-  std::unique_ptr<topo::TopologyGraph> graph_;    // graph mode
+  std::unique_ptr<topo::TopologyGraph> graph_;
+  std::unique_ptr<net::DumbbellTopology> topo_;  // dumbbell mode: a view
   net::RedQueue* red_ = nullptr;
   net::RedQueue* reverse_red_ = nullptr;
   std::vector<app::Flow> flows_;

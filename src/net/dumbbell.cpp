@@ -2,19 +2,12 @@
 
 #include <cstdio>
 
-#include "net/drop_tail.hpp"
 #include "sim/assert.hpp"
 
 namespace rrtcp::net {
 
-DumbbellTopology::DumbbellTopology(sim::Simulator& sim, DumbbellConfig cfg)
-    : cfg_{std::move(cfg)} {
-  RRTCP_ASSERT(cfg_.n_flows >= 1);
-  if (!cfg_.make_bottleneck_queue) {
-    cfg_.make_bottleneck_queue = [] {
-      return std::make_unique<DropTailQueue>(8);
-    };
-  }
+topo::GraphSpec dumbbell_spec(const DumbbellConfig& cfg) {
+  RRTCP_ASSERT(cfg.n_flows >= 1);
 
   // Emit the graph spec in the exact order the hand-built topology used:
   // nodes R1, R2, S1..Sn, K1..Kn; links fwd bottleneck, rev bottleneck,
@@ -23,68 +16,74 @@ DumbbellTopology::DumbbellTopology(sim::Simulator& sim, DumbbellConfig cfg)
   topo::GraphSpec g;
   g.add_node("R1");
   g.add_node("R2");
-  for (int i = 0; i < cfg_.n_flows; ++i)
+  for (int i = 0; i < cfg.n_flows; ++i)
     g.add_node("S" + std::to_string(i + 1));
-  for (int i = 0; i < cfg_.n_flows; ++i)
+  for (int i = 0; i < cfg.n_flows; ++i)
     g.add_node("K" + std::to_string(i + 1));
 
   {
     topo::LinkSpec fwd;
-    fwd.from = kR1;
-    fwd.to = kR2;
-    fwd.bandwidth_bps = cfg_.bottleneck_bps;
-    fwd.delay = cfg_.bottleneck_delay;
+    fwd.from = kDumbbellR1;
+    fwd.to = kDumbbellR2;
+    fwd.bandwidth_bps = cfg.bottleneck_bps;
+    fwd.delay = cfg.bottleneck_delay;
+    fwd.queue_packets = 8;  // Table 3, unless a factory says otherwise
+    fwd.make_queue = cfg.make_bottleneck_queue;
     fwd.name = "R1->R2";
-    fwd.make_queue = [make = cfg_.make_bottleneck_queue](sim::Simulator&) {
-      return make();
-    };
     g.add_link(std::move(fwd));
   }
   {
     topo::LinkSpec rev;
-    rev.from = kR2;
-    rev.to = kR1;
-    rev.bandwidth_bps = cfg_.reverse_bps > 0 ? cfg_.reverse_bps
-                                             : cfg_.bottleneck_bps;
-    rev.delay = cfg_.reverse_delay.value_or(cfg_.bottleneck_delay);
-    rev.queue_packets = cfg_.reverse_queue_packets;
+    rev.from = kDumbbellR2;
+    rev.to = kDumbbellR1;
+    rev.bandwidth_bps = cfg.reverse_bps > 0 ? cfg.reverse_bps
+                                            : cfg.bottleneck_bps;
+    rev.delay = cfg.reverse_delay.value_or(cfg.bottleneck_delay);
+    rev.queue_packets = cfg.reverse_queue_packets;
+    rev.make_queue = cfg.make_reverse_queue;
     rev.name = "R2->R1";
-    if (cfg_.make_reverse_queue) {
-      rev.make_queue = [make = cfg_.make_reverse_queue](sim::Simulator&) {
-        return make();
-      };
-    }
     g.add_link(std::move(rev));
   }
 
-  for (int i = 0; i < cfg_.n_flows; ++i) {
-    const int s = sender_index(i);
-    const int k = receiver_index(i);
+  for (int i = 0; i < cfg.n_flows; ++i) {
+    const int s = dumbbell_sender(i);
+    const int k = dumbbell_receiver(cfg.n_flows, i);
     char name[32];
 
-    sim::Time sender_side_delay = cfg_.side_delay;
-    if (cfg_.side_delay_for) {
-      if (auto d = cfg_.side_delay_for(i)) sender_side_delay = *d;
+    sim::Time sender_side_delay = cfg.side_delay;
+    if (cfg.side_delay_for) {
+      if (auto d = cfg.side_delay_for(i)) sender_side_delay = *d;
     }
 
     auto side = [&](int from, int to, sim::Time delay, const char* fmt) {
       topo::LinkSpec ls;
       ls.from = from;
       ls.to = to;
-      ls.bandwidth_bps = cfg_.side_bps;
+      ls.bandwidth_bps = cfg.side_bps;
       ls.delay = delay;
-      ls.queue_packets = cfg_.side_queue_packets;
+      ls.queue_packets = cfg.side_queue_packets;
       std::snprintf(name, sizeof name, fmt, i + 1);
       ls.name = name;
       g.add_link(std::move(ls));
     };
-    side(s, kR1, sender_side_delay, "S%d->R1");
-    side(kR1, s, sender_side_delay, "R1->S%d");
-    side(kR2, k, cfg_.side_delay, "R2->K%d");
-    side(k, kR2, cfg_.side_delay, "K%d->R2");
+    side(s, kDumbbellR1, sender_side_delay, "S%d->R1");
+    side(kDumbbellR1, s, sender_side_delay, "R1->S%d");
+    side(kDumbbellR2, k, cfg.side_delay, "R2->K%d");
+    side(k, kDumbbellR2, cfg.side_delay, "K%d->R2");
   }
+  return g;
+}
 
-  graph_ = std::make_unique<topo::TopologyGraph>(sim, std::move(g));
+DumbbellTopology::DumbbellTopology(sim::Simulator& sim, DumbbellConfig cfg)
+    : cfg_{std::move(cfg)},
+      owned_{std::make_unique<topo::TopologyGraph>(sim, dumbbell_spec(cfg_))},
+      graph_{owned_.get()} {}
+
+DumbbellTopology::DumbbellTopology(topo::TopologyGraph& graph,
+                                   DumbbellConfig cfg)
+    : cfg_{std::move(cfg)}, graph_{&graph} {
+  RRTCP_ASSERT_MSG(graph.n_nodes() == 2 + 2 * cfg_.n_flows,
+                   "graph is not a dumbbell_spec of this config");
 }
 
 sim::Time DumbbellTopology::base_rtt(std::uint32_t data_bytes,

@@ -36,16 +36,7 @@ ShardedScenario::ShardedScenario(harness::ScenarioSpec spec)
   start_workers();
 }
 
-ShardedScenario::~ShardedScenario() {
-  stop_workers();
-  // Tracers detach before the senders they observe die with the arena.
-  for (auto& fi : instruments_) {
-    if (fi->sender == nullptr) continue;
-    if (fi->phases) fi->sender->remove_observer(fi->phases.get());
-    if (fi->seq) fi->sender->remove_observer(fi->seq.get());
-    if (fi->meter) fi->sender->remove_observer(fi->meter.get());
-  }
-}
+ShardedScenario::~ShardedScenario() { stop_workers(); }
 
 std::unique_ptr<ShardedScenario> ShardedScenario::try_build(
     harness::ScenarioSpec spec, harness::SpecError* err) {
@@ -122,7 +113,6 @@ void ShardedScenario::build_flows() {
   const app::SenderFactory& factory = app::SenderFactory::instance();
 
   flows_.reserve(spec_.flows.size());
-  instruments_.reserve(spec_.flows.size());
   for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
     const harness::FlowSpec& fs = spec_.flows[i];
     RRTCP_ASSERT_MSG(fs.src_node >= 0 && fs.dst_node >= 0,
@@ -163,20 +153,6 @@ void ShardedScenario::build_flows() {
                                             fs.start, fs.bytes);
     }
     flows_.push_back(f);
-
-    // Tracer bundle (audit/watchdog are forced off in sharded mode — see
-    // the header). Observers are shard-local: they hang off the sender.
-    auto fi = std::make_unique<harness::FlowInstruments>();
-    fi->sender = f.sender;
-    if (spec_.instruments.tracers) {
-      fi->meter = std::make_unique<stats::ThroughputMeter>();
-      fi->seq = std::make_unique<stats::SeqTracer>(f.sender->config().mss);
-      fi->phases = std::make_unique<stats::PhaseTracer>();
-      f.sender->add_observer(fi->meter.get());
-      f.sender->add_observer(fi->seq.get());
-      f.sender->add_observer(fi->phases.get());
-    }
-    instruments_.push_back(std::move(fi));
   }
 
   for (std::size_t j = 0; j < spec_.cross_traffic.size(); ++j) {
@@ -188,18 +164,25 @@ void ShardedScenario::build_flows() {
     Shard& src_shard =
         *shards_[static_cast<std::size_t>(
             part_.node_shard[static_cast<std::size_t>(cs.src_node)])];
-    traffic::CbrConfig cc;
-    cc.rate_bps = cs.rate_bps;
-    cc.packet_bytes = cs.packet_bytes;
-    cc.start = cs.start;
-    cc.stop = cs.stop;
     const auto flow_id = static_cast<net::FlowId>(spec_.flows.size() + j + 1);
     net::Node& dst = *nodes_[static_cast<std::size_t>(cs.dst_node)];
     cbr_sinks_.push_back(arena_.create<traffic::CbrSink>(dst, flow_id));
     cbr_sources_.push_back(arena_.create<traffic::CbrSource>(
         src_shard.sim, *nodes_[static_cast<std::size_t>(cs.src_node)],
-        flow_id, dst.id(), cc));
+        flow_id, dst.id(),
+        traffic::CbrConfig{cs.rate_bps, cs.packet_bytes, cs.start, cs.stop}));
   }
+
+  // Tracers only: audit and watchdog are forced off in sharded mode (see
+  // the header), so the Instrumentation never touches shard 0's simulator
+  // beyond holding it. Tracers are shard-local — they hang off the sender.
+  harness::InstrumentationOptions opts = spec_.instruments;
+  opts.audit = harness::AuditMode::kNone;
+  opts.watchdog = false;
+  instrumentation_ =
+      std::make_unique<harness::Instrumentation>(shards_[0]->sim, opts);
+  for (const ShardedFlow& f : flows_)
+    instrumentation_->attach(*f.sender, f.receiver);
 }
 
 void ShardedScenario::start_workers() {
@@ -365,7 +348,7 @@ app::FtpSource* ShardedScenario::source(int i) {
 
 harness::FlowInstruments& ShardedScenario::instruments(int i) {
   return single_ ? single_->instruments(i)
-                 : *instruments_.at(static_cast<std::size_t>(i));
+                 : instrumentation_->flow(static_cast<std::size_t>(i));
 }
 
 int ShardedScenario::n_cbr() const {

@@ -40,7 +40,8 @@
 // mutex + condvars) provides the happens-before edges. Audit and watchdog
 // are forced off in sharded mode (an AuditSession spans both endpoints of
 // a flow, which may live on different shards); per-flow tracers are plain
-// sender observers and stay shard-local.
+// sender observers and stay shard-local, attached through one
+// harness::Instrumentation like the single engine's.
 #pragma once
 
 #include <condition_variable>
@@ -204,7 +205,9 @@ class ShardedScenario {
   std::vector<ShardedFlow> flows_;
   std::vector<traffic::CbrSource*> cbr_sources_;  // arena-owned
   std::vector<traffic::CbrSink*> cbr_sinks_;      // arena-owned
-  std::vector<std::unique_ptr<harness::FlowInstruments>> instruments_;
+  // Per-flow tracers. Declared after the arena so it detaches from the
+  // senders before they die.
+  std::unique_ptr<harness::Instrumentation> instrumentation_;
 
   // Round barrier. Workers wait for round_gen_ to advance, run their
   // window, then the last one to finish wakes the coordinator.

@@ -124,7 +124,7 @@ TEST(EcnEndToEnd, MarksReduceWindowWithoutRetransmissions) {
   net::DumbbellConfig netcfg;
   netcfg.n_flows = 1;
   net::RedQueue* red = nullptr;
-  netcfg.make_bottleneck_queue = [&] {
+  netcfg.make_bottleneck_queue = [&](sim::Simulator& qsim) {
     net::RedConfig rc;
     rc.buffer_packets = 60;
     rc.min_th = 5;
@@ -133,7 +133,7 @@ TEST(EcnEndToEnd, MarksReduceWindowWithoutRetransmissions) {
     rc.w_q = 0.05;
     rc.ecn = true;
     rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
-    auto q = std::make_unique<net::RedQueue>(sim, rc);
+    auto q = std::make_unique<net::RedQueue>(qsim, rc);
     red = q.get();
     return q;
   };

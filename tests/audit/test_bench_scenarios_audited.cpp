@@ -37,8 +37,7 @@ std::uint64_t audited_violations(const AuditedScenario& s) {
   sim::Simulator sim;
   net::DumbbellConfig netcfg;
   netcfg.n_flows = static_cast<int>(s.variants.size());
-  if (s.make_queue)
-    netcfg.make_bottleneck_queue = [&] { return s.make_queue(sim); };
+  netcfg.make_bottleneck_queue = s.make_queue;
   net::DumbbellTopology topo{sim, netcfg};
   if (s.make_loss) topo.bottleneck().set_loss_model(s.make_loss());
   if (s.make_ack_loss)
@@ -57,7 +56,8 @@ std::uint64_t audited_violations(const AuditedScenario& s) {
   }
 
   AuditSession session{sim, AuditSession::FailMode::kRecord};
-  session.attach_topology(topo);
+  session.attach_queue(topo.bottleneck().queue(), "btl");
+  session.attach_queue(topo.reverse_bottleneck().queue(), "rbtl");
   for (auto& f : flows) session.attach(*f.sender, f.receiver.get());
 
   sim.run_until(s.horizon);

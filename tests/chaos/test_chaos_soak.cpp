@@ -95,12 +95,12 @@ TEST(ChaosSoak, BrokenSenderIsCaughtThroughTheFullHarness) {
   cfg.bytes_per_flow = 2'000'000;
   cfg.horizon = Time::seconds(30);
   cfg.flow_maker = [](sim::Simulator& sim, net::Node& snd, net::Node& rcv,
-                      net::FlowId flow, const tcp::TcpConfig& tcp) {
+                      net::FlowId flow, const FlowSpec& fs) {
     app::Flow f;
     f.sender = std::make_unique<test::DeadRtoSender>(sim, snd, flow, rcv.id(),
-                                                     tcp);
+                                                     fs.tcp);
     tcp::ReceiverConfig rcfg;
-    rcfg.ack_bytes = tcp.ack_bytes;
+    rcfg.ack_bytes = fs.tcp.ack_bytes;
     f.receiver =
         std::make_unique<tcp::TcpReceiver>(sim, rcv, flow, snd.id(), rcfg);
     return f;

@@ -80,6 +80,57 @@ TEST(SpecValidate, LinkEndpointOutOfRangeRejected) {
   EXPECT_EQ(code_of(spec), Code::kBadLink);
 }
 
+TEST(SpecValidate, RouteLinkNotLeavingItsNodeRejected) {
+  // Link 0 runs a -> b; routing b's traffic for a over it is impossible.
+  // Used to reach topo::compute_route_table and abort there.
+  ScenarioSpec spec = minimal_graph();
+  spec.graph.add_route(/*at=*/1, /*dst=*/0, /*link=*/0);
+  EXPECT_EQ(code_of(spec), Code::kBadLink);
+  SpecError err;
+  EXPECT_EQ(Scenario::try_build(spec, &err), nullptr);
+  EXPECT_EQ(err.code, Code::kBadLink);
+}
+
+TEST(SpecValidate, ExplicitRouteLoopUnroutable) {
+  // b routes c-bound traffic back to a, whose shortest path to c runs
+  // through b again: a path exists in the graph, but the routes never
+  // deliver.
+  ScenarioSpec spec = minimal_graph();
+  spec.graph.add_node("c");
+  spec.graph.add_duplex(1, 2, 1'000'000, sim::Time::milliseconds(10), 16);
+  spec.graph.add_route(/*at=*/1, /*dst=*/2, /*link=*/1);  // b -> a
+  spec.flows[0].dst_node = 2;
+  EXPECT_EQ(code_of(spec), Code::kUnroutable);
+}
+
+TEST(SpecValidate, ReverseFlowRejectedInGraphMode) {
+  // FlowSpec.reverse is consumed by the dumbbell lowering; a graph-mode
+  // spec that sets it would otherwise silently run the flow forward.
+  ScenarioSpec spec = minimal_graph();
+  spec.flows[0].reverse = true;
+  EXPECT_EQ(code_of(spec), Code::kBadEndpoint);
+}
+
+TEST(SpecValidate, ReverseCbrRejectedInGraphMode) {
+  ScenarioSpec spec = minimal_graph();
+  spec.add_cbr({.rate_bps = 100'000, .reverse = true, .src_node = 0,
+                .dst_node = 1});
+  EXPECT_EQ(code_of(spec), Code::kBadCbr);
+}
+
+TEST(SpecValidate, LoadFractionCbrRejectedInGraphMode) {
+  ScenarioSpec spec = minimal_graph();
+  spec.add_cbr({.rate_bps = 100'000, .load_fraction = 0.5, .src_node = 0,
+                .dst_node = 1});
+  EXPECT_EQ(code_of(spec), Code::kBadCbr);
+}
+
+TEST(SpecValidate, NegativeReverseRateRejected) {
+  ScenarioSpec spec = minimal_dumbbell();
+  spec.topology.reverse_bps = -1;
+  EXPECT_EQ(code_of(spec), Code::kBadRate);
+}
+
 TEST(SpecValidate, FlowEndpointOutOfRangeRejected) {
   ScenarioSpec spec = minimal_graph();
   spec.flows[0].dst_node = 7;

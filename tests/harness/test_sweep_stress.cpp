@@ -41,7 +41,8 @@ std::vector<SweepJob> make_audited_jobs(std::size_t n) {
 
            audit::AuditSession session{
                sim, audit::AuditSession::FailMode::kRecord};
-           session.attach_topology(topo);
+           session.attach_queue(topo.bottleneck().queue(), "btl");
+           session.attach_queue(topo.reverse_bottleneck().queue(), "rbtl");
            session.attach(*flow.sender, flow.receiver.get());
 
            sim.run_until(sim::Time::seconds(5));

@@ -48,7 +48,7 @@ inline ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   sim::Simulator sim;
   net::DumbbellConfig netcfg;
   netcfg.n_flows = cfg.n_flows;
-  netcfg.make_bottleneck_queue = [&] {
+  netcfg.make_bottleneck_queue = [&](sim::Simulator&) {
     return std::make_unique<net::DropTailQueue>(cfg.buffer_packets);
   };
   net::DumbbellTopology topo{sim, netcfg};
@@ -69,7 +69,8 @@ inline ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   // Build-gated protocol auditing (RRTCP_AUDIT=ON): every integration
   // scenario then runs under the full invariant set, abort-on-violation.
   audit::ScopedAudit audit{sim};
-  audit.attach_topology(topo);
+  audit.attach_queue(topo.bottleneck().queue(), "btl");
+  audit.attach_queue(topo.reverse_bottleneck().queue(), "rbtl");
   for (auto& f : flows) audit.attach(*f.sender, f.receiver.get());
 
   sim.run_until(cfg.horizon);

@@ -66,7 +66,7 @@ TEST_P(QueueInvariants, OccupancyBoundedAndFlightCapped) {
   sim::Simulator sim;
   net::DumbbellConfig netcfg;
   netcfg.n_flows = 2;
-  netcfg.make_bottleneck_queue = [] {
+  netcfg.make_bottleneck_queue = [](sim::Simulator&) {
     return std::make_unique<net::DropTailQueue>(8);
   };
   net::DumbbellTopology topo{sim, netcfg};
@@ -139,7 +139,7 @@ TEST_P(Fairness, TwoFlowsShareWithinFactorOfThree) {
   sim::Simulator sim;
   net::DumbbellConfig netcfg;
   netcfg.n_flows = 2;
-  netcfg.make_bottleneck_queue = [] {
+  netcfg.make_bottleneck_queue = [](sim::Simulator&) {
     return std::make_unique<net::DropTailQueue>(20);
   };
   net::DumbbellTopology topo{sim, netcfg};

@@ -26,7 +26,7 @@ TEST_P(RttBias, ShortRttFlowGetsAtLeastItsShare) {
   sim::Simulator sim;
   net::DumbbellConfig netcfg;
   netcfg.n_flows = 2;
-  netcfg.make_bottleneck_queue = [] {
+  netcfg.make_bottleneck_queue = [](sim::Simulator&) {
     return std::make_unique<net::DropTailQueue>(20);
   };
   netcfg.side_delay_for = [](int i) -> std::optional<sim::Time> {
@@ -63,7 +63,7 @@ TEST_P(ReorderRobust, DeliversEverythingUnderReordering) {
   sim::Simulator sim;
   net::DumbbellConfig netcfg;
   netcfg.n_flows = 1;
-  netcfg.make_bottleneck_queue = [] {
+  netcfg.make_bottleneck_queue = [](sim::Simulator&) {
     return std::make_unique<net::DropTailQueue>(100);
   };
   net::DumbbellTopology topo{sim, netcfg};
