@@ -19,10 +19,10 @@
 //
 // All scenarios are deterministic given the per-job seed; the CSV is
 // byte-identical across --threads (tests/harness pins this). --quick runs
-// a reduced grid for the CI perf-smoke artifact. --shards=N runs the
-// graph-mode parking-lot legs on the sharded PDES engine (src/pdes); the
-// dumbbell legs always delegate to the single engine, so the default
-// (--shards=1) is today's behavior on every leg, byte-identically.
+// a reduced grid for the CI perf-smoke artifact. --shards=N cuts the
+// graph-mode parking-lot legs into N shards (src/pdes); a dumbbell leg
+// always runs on one shard, so the default (--shards=1) is the plain
+// single-threaded engine on every leg.
 //
 // Expected shape: goodput degrades roughly linearly with CBR load for
 // every variant, but RR and SACK avoid the timeout clusters New-Reno
@@ -30,7 +30,6 @@
 // lot, RR's cumulative-ACK-only recovery keeps it within a few percent of
 // SACK without SACK's receiver support.
 #include "bench_common.hpp"
-#include "pdes/sharded.hpp"
 #include "topo/presets.hpp"
 
 namespace rrtcp::bench {
@@ -69,10 +68,7 @@ tcp::TcpConfig tuned_tcp() {
   return tcfg;
 }
 
-// Works on either runner: harness::Scenario and pdes::ShardedScenario
-// expose the same spec/instruments/sender/cbr accessors.
-template <typename Sc>
-Row measure(Sc& sc, std::uint64_t queue_drops) {
+Row measure(harness::Scenario& sc, std::uint64_t queue_drops) {
   Row r;
   const sim::Time horizon = sc.spec().horizon;
   r.goodput_kbps = sc.instruments(0).meter->throughput_bps(sim::Time::zero(),
@@ -119,7 +115,7 @@ Row run_ackpath(app::Variant v, std::uint64_t seed) {
 
 // Parking lot: long flow end-to-end over `hops` bottlenecks, 25% CBR
 // cross-load entering and leaving at every hop. The only graph-mode leg,
-// so the only one where --shards > 1 engages the PDES engine for real.
+// so the only one where --shards > 1 runs more than one shard.
 Row run_parking_lot(app::Variant v, int hops, std::uint64_t seed,
                     int shards) {
   topo::ParkingLotConfig plc;
@@ -144,7 +140,7 @@ Row run_parking_lot(app::Variant v, int hops, std::uint64_t seed,
                   .dst_node = lay.cross_dst[static_cast<std::size_t>(i)]});
   }
   spec.shard_count = shards;
-  pdes::ShardedScenario sc{std::move(spec)};
+  harness::Scenario sc{std::move(spec)};
   sc.run();
   std::uint64_t drops = 0;
   for (int l : lay.bottleneck_links)

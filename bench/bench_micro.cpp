@@ -43,7 +43,6 @@
 #include "net/node.hpp"
 #include "net/red.hpp"
 #include "pdes/flow_arena.hpp"
-#include "pdes/sharded.hpp"
 #include "sim/legacy_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "stats/table.hpp"
@@ -406,7 +405,7 @@ EndToEnd run_end_to_end(int n_flows, sim::Time horizon, int repeat) {
 // scale — each flow's concrete sender (footprints straight from the
 // SenderFactory registry's arena vtable), its receiver and the two
 // environment seams. Engine "heap" pays one operator new/delete per object
-// (the unique_ptr soup the plain Scenario builds); engine "arena" bumps
+// (the unique_ptr soup app::make_flow builds); engine "arena" bumps
 // through one pre-faulted pdes::FlowArena block and must stay at exactly
 // 0 allocs/object in the measured region — the steady-state claim in
 // flow_arena.hpp, enforced by scripts/check_perf_trajectory.py.
@@ -518,7 +517,7 @@ ShardScaling run_shard_scaling(int shards, int n_flows, sim::Time horizon,
                                int repeat) {
   ShardScaling best;
   for (int r = 0; r < repeat; ++r) {
-    pdes::ShardedScenario sc{shard_bench_spec(shards, n_flows, horizon)};
+    harness::Scenario sc{shard_bench_spec(shards, n_flows, horizon)};
     const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
     const auto t0 = Clock::now();
     const std::uint64_t events = sc.run();

@@ -3,9 +3,9 @@
 // Builds one large graph-mode scenario — a multi-dumbbell whose access
 // links carry real propagation delay, with --flows TCP flows (default
 // 10'000) packed onto 64 sender hosts via FlowSets — and runs it at shard
-// counts {1, 2, 4, 8}. The shards=1 leg is the plain single-engine
-// harness::Scenario (the delegation path), so the speedup column is a
-// true before/after.
+// counts {1, 2, 4, 8} on harness::Scenario. The shards=1 leg runs on the
+// calling thread with no rounds, so the speedup column is a true
+// before/after.
 //
 // The speedup is whatever the machine can fund: each shard runs on its
 // own thread, so on an N-core box the curve should rise until the
@@ -34,7 +34,6 @@
 
 #include "harness/result_sink.hpp"
 #include "harness/scenario.hpp"
-#include "pdes/sharded.hpp"
 #include "stats/table.hpp"
 #include "topo/presets.hpp"
 
@@ -106,7 +105,7 @@ struct Leg {
 };
 
 Leg run_one(int shards, int flows, int hosts, sim::Time horizon) {
-  pdes::ShardedScenario sc{make_spec(shards, flows, hosts, horizon)};
+  harness::Scenario sc{make_spec(shards, flows, hosts, horizon)};
   const auto t0 = Clock::now();
   const std::uint64_t events = sc.run();
   Leg leg;

@@ -4,10 +4,9 @@
 // buffer of 8 packets), runs a single RR flow for 20 simulated seconds,
 // and prints what happened. Run with --verbose for a per-event trace,
 // with a variant name (see --list-variants) to compare, or with
-// --list-variants to print the sender registry and exit. --shards=N
-// routes the run through the sharded PDES engine (src/pdes); the Table-3
-// dumbbell is too small to partition, so it demonstrates the delegation
-// path — the engine falls back to the single simulator, byte-identically.
+// --list-variants to print the sender registry and exit. --shards=N sets
+// the spec's shard count; a dumbbell always runs on one shard, so the
+// numbers are byte-identical to the default.
 //
 // The whole experiment is one declarative ScenarioSpec — see
 // src/harness/scenario.hpp for everything a spec can express.
@@ -18,7 +17,6 @@
 
 #include "app/sender_factory.hpp"
 #include "harness/scenario.hpp"
-#include "pdes/sharded.hpp"
 #include "sim/log.hpp"
 
 int main(int argc, char** argv) {
@@ -60,10 +58,8 @@ int main(int argc, char** argv) {
   spec.horizon = sim::Time::seconds(20);
   spec.shard_count = shards;
   spec.add_flow({.variant = variant});  // unbounded FTP starting at t=0
-  pdes::ShardedScenario runner{spec};
-  runner.run();
-  // The dumbbell never partitions, so the delegate is always present.
-  harness::Scenario& sc = *runner.single();
+  harness::Scenario sc{spec};
+  sc.run();
 
   const sim::Time horizon = spec.horizon;
   const auto& st = sc.sender(0).stats();

@@ -43,7 +43,7 @@ Flow make_flow(Variant v, env::Environment& snd_env, env::Environment& rcv_env,
 // The ReceiverConfig paired with a sender of variant `v` under `cfg` —
 // notably whether the receiver generates SACK blocks (a registry fact).
 // Exposed for construction paths that build receivers directly, e.g. the
-// arena-backed flows of pdes::ShardedScenario.
+// arena-backed flows of harness::Scenario.
 tcp::ReceiverConfig receiver_config_for(Variant v, const tcp::TcpConfig& cfg);
 
 }  // namespace rrtcp::app

@@ -1,12 +1,12 @@
 #include "app/sender_factory.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/rr_sender.hpp"
 #include "tcp/newreno.hpp"
@@ -76,19 +76,16 @@ void SenderFactory::print_registry(std::FILE* out) const {
   // Listed alphabetically, not in enum order: the output is part of the
   // CLIs' --list-variants surface (scripts grep it, docs quote it), so it
   // must not reshuffle when a variant is added mid-enum.
-  std::array<std::size_t, kVariantCount> order{};
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < kVariantCount; ++i)
-    if (entries_[i].name != nullptr) order[n++] = i;
-  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(n),
-            [this](std::size_t a, std::size_t b) {
-              return std::strcmp(entries_[a].name, entries_[b].name) < 0;
-            });
+  std::vector<const Entry*> order;
+  for (const Entry& e : entries_)
+    if (e.name != nullptr) order.push_back(&e);
+  std::sort(order.begin(), order.end(), [](const Entry* a, const Entry* b) {
+    return std::strcmp(a->name, b->name) < 0;
+  });
   std::fprintf(out, "registered TCP sender variants:\n");
-  for (std::size_t k = 0; k < n; ++k) {
-    const Entry& e = entries_[order[k]];
-    std::fprintf(out, "  %-10s (%s receiver)\n", e.name,
-                 e.sack_receiver ? "SACK" : "cumulative-ACK");
+  for (const Entry* e : order) {
+    std::fprintf(out, "  %-10s (%s receiver)\n", e->name,
+                 e->sack_receiver ? "SACK" : "cumulative-ACK");
   }
 }
 

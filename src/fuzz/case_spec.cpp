@@ -231,7 +231,6 @@ harness::ScenarioSpec materialize(const CaseSpec& cs,
   spec.name = "fuzz";
   spec.seed = cs.seed;
   spec.horizon = cs.horizon;
-  spec.shard_count = cs.shard_count;
   spec.instruments.tracers = false;
   spec.instruments.audit = harness::AuditMode::kRecord;
   spec.instruments.watchdog = true;

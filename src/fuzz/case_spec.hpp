@@ -82,9 +82,11 @@ struct CaseSpec {
   sim::Time horizon = sim::Time::seconds(60);
 
   // Shard count for the shard-equivalence oracle: > 1 makes run_case also
-  // build the (fault-free) spec on the sharded PDES engine and require
-  // per-flow digests identical to a single-engine run. 1 = oracle off.
-  // Only meaningful on graph-mode topologies (the dumbbell delegates).
+  // build the (fault-free) spec at this many shards and require per-flow
+  // digests identical to a one-shard run. 1 = oracle off. materialize()
+  // leaves it out of the spec, so the primary run is always one shard.
+  // Only meaningful on graph-mode topologies (a dumbbell runs on one
+  // shard).
   int shard_count = 1;
 
   // Watchdog thresholds (ride into InstrumentationOptions; satellite S2 —

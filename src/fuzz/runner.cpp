@@ -11,7 +11,6 @@
 #include "audit/invariant_auditor.hpp"
 #include "chaos/watchdog.hpp"
 #include "fuzz/digest.hpp"
-#include "pdes/sharded.hpp"
 #include "sim/assert.hpp"
 
 namespace rrtcp::fuzz {
@@ -36,7 +35,7 @@ void push_capped(std::vector<Failure>* failures, std::size_t* count,
   ++*count;
 }
 
-SingleRun single_run(const CaseSpec& cs, bool timer_wheel) {
+SingleRun run_once(const CaseSpec& cs, bool timer_wheel) {
   SingleRun out;
   AssertTrapScope trap;
   try {
@@ -109,13 +108,12 @@ SingleRun single_run(const CaseSpec& cs, bool timer_wheel) {
 }
 
 // One leg of the shard-equivalence oracle: build the case's materialized
-// spec (no fault injectors — they interpose on a concrete Scenario graph,
-// which the sharded engine does not share) on pdes::ShardedScenario with
-// `shards` shards and return every flow's trace digest. Per-flow rather
-// than one shared digest: the sharded engine pins each flow's trace, not
-// the global interleave of flows that never exchange a packet. Audit and
-// watchdog are off on BOTH legs so the two specs match exactly (sharded
-// mode would force them off anyway).
+// spec (no fault injectors: the primary run interposes them on the built
+// graph) with `shards` shards and return every flow's trace digest.
+// Per-flow rather than one shared digest: the sharded engine pins each
+// flow's trace, not the global interleave of flows that never exchange a
+// packet. Audit and watchdog are off on BOTH legs so the two specs match
+// exactly (above one shard they are forced off anyway).
 struct ShardRun {
   bool built = false;
   std::string error;  // abort/build failure when !built
@@ -132,7 +130,7 @@ ShardRun shard_leg(const CaseSpec& cs, int shards) {
     spec.instruments.audit = harness::AuditMode::kNone;
     spec.instruments.watchdog = false;
     harness::SpecError err;
-    auto sc = pdes::ShardedScenario::try_build(std::move(spec), &err);
+    auto sc = harness::Scenario::try_build(std::move(spec), &err);
     if (sc == nullptr) {
       out.error = harness::to_string(err.code);
       return out;
@@ -187,7 +185,7 @@ const char* to_string(OracleKind k) {
 }
 
 RunOutcome run_case(const CaseSpec& cs, const RunOptions& opts) {
-  SingleRun primary = single_run(cs, /*timer_wheel=*/true);
+  SingleRun primary = run_once(cs, /*timer_wheel=*/true);
   RunOutcome out;
   out.built = primary.built;
   out.failures = std::move(primary.failures);
@@ -197,7 +195,7 @@ RunOutcome run_case(const CaseSpec& cs, const RunOptions& opts) {
 
   char detail[96];
   if (opts.check_determinism) {
-    const SingleRun again = single_run(cs, /*timer_wheel=*/true);
+    const SingleRun again = run_once(cs, /*timer_wheel=*/true);
     if (again.digest != out.digest) {
       std::snprintf(detail, sizeof detail,
                     "run1 digest %016" PRIx64 " != run2 digest %016" PRIx64,
@@ -207,7 +205,7 @@ RunOutcome run_case(const CaseSpec& cs, const RunOptions& opts) {
     }
   }
   if (opts.check_equivalence) {
-    const SingleRun heap_only = single_run(cs, /*timer_wheel=*/false);
+    const SingleRun heap_only = run_once(cs, /*timer_wheel=*/false);
     if (heap_only.digest != out.digest) {
       std::snprintf(detail, sizeof detail,
                     "wheel digest %016" PRIx64 " != heap digest %016" PRIx64,
@@ -217,7 +215,7 @@ RunOutcome run_case(const CaseSpec& cs, const RunOptions& opts) {
     }
   }
   // Sharded vs single per-flow digests on the same (fault-free) spec.
-  // Mutant cases are skipped: the sharded engine rejects flow_maker specs,
+  // Mutant cases are skipped: flow_maker specs need one shard,
   // and the mutants' bugs are already caught by the primary oracles.
   //
   // The digest comparison is limited to multi-dumbbell cases: with

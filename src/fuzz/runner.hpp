@@ -11,11 +11,10 @@
 //   kDeterminism  the same case run twice produced different trace digests
 //   kEquivalence  timer-wheel and heap-only scheduling produced different
 //                 trace digests (DESIGN.md's engine-equivalence contract)
-//   kShardEquivalence  the sharded PDES engine (pdes::ShardedScenario at
-//                 the case's shard_count) crashed, failed to build, or —
-//                 on the tie-safe multi-dumbbell topology — produced
-//                 different per-flow digests than the single-engine run of
-//                 the same spec (DESIGN.md §17's determinism contract)
+//   kShardEquivalence  the spec at the case's shard_count crashed, failed
+//                 to build, or — on the tie-safe multi-dumbbell topology —
+//                 produced different per-flow digests than its one-shard
+//                 run (DESIGN.md §17's determinism contract)
 //   kAbort        a trapped RRTCP_ASSERT / build-gated audit abort
 //   kBuildReject  Scenario::validate refused the spec (generator bug —
 //                 sampled specs are supposed to be valid by construction)

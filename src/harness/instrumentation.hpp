@@ -7,8 +7,8 @@
 // context). Instrumentation owns that stack: construct it AFTER the flows
 // it will watch (so it destructs — and detaches — first), call
 // attach(sender, receiver) per flow and attach_queues(graph, links) once,
-// and read the per-flow tracers back by index. harness::Scenario and
-// pdes::ShardedScenario both attach through here.
+// and read the per-flow tracers back by index. harness::Scenario attaches
+// through here at every shard count.
 //
 // Audit modes:
 //   kBuildGated — audit::ScopedAudit: a real AuditSession in abort mode

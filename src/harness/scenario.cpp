@@ -4,10 +4,12 @@
 #include <utility>
 
 #include "app/flow_factory.hpp"
+#include "app/sender_factory.hpp"
+#include "env/sim_env.hpp"
 #include "harness/sweep.hpp"
 #include "net/drop_tail.hpp"
+#include "pdes/shard_engine.hpp"
 #include "sim/assert.hpp"
-#include "topo/partition.hpp"
 
 namespace rrtcp::harness {
 
@@ -36,8 +38,10 @@ decltype(topo::LinkSpec::make_queue) make_queue_factory(const QueueSpec& qs,
 // in place. TCP flow i runs on host pair i; CBR stream j rides the extra
 // pair n_tcp + j, so a spec without cross-traffic builds the exact seed
 // topology. After this the spec is an ordinary graph-mode spec: the
-// dumbbell-only fields (reverse, load_fraction) are resolved and cleared.
+// dumbbell-only fields (reverse, load_fraction) are resolved and cleared,
+// and the dumbbell is pinned to one shard.
 void lower_dumbbell(ScenarioSpec& spec) {
+  spec.shard_count = 1;
   const int n_tcp = static_cast<int>(spec.flows.size());
   const int n_cbr = static_cast<int>(spec.cross_traffic.size());
   const int n_pairs = n_tcp + n_cbr;
@@ -115,6 +119,8 @@ const char* to_string(SpecError::Code c) {
       return "unroutable";
     case SpecError::Code::kBadCbr:
       return "bad-cbr";
+    case SpecError::Code::kBadShardCount:
+      return "bad-shard-count";
   }
   return "?";
 }
@@ -132,6 +138,10 @@ std::optional<SpecError> Scenario::validate(const ScenarioSpec& in) {
     return fail(SpecError::Code::kNoFlows, "scenario has no flows");
   if (spec.horizon <= sim::Time::zero())
     return fail(SpecError::Code::kBadHorizon, "horizon must be > 0");
+  if (spec.shard_count < 1 || spec.shard_count > kMaxShardCount)
+    return fail(SpecError::Code::kBadShardCount,
+                "shard_count " + std::to_string(spec.shard_count) +
+                    " outside 1.." + std::to_string(kMaxShardCount));
   if (spec.graph.empty()) {
     // dumbbell_spec falls back to bottleneck_bps for any reverse_bps <= 0;
     // only 0 means that.
@@ -221,21 +231,43 @@ std::unique_ptr<Scenario> Scenario::try_build(ScenarioSpec spec,
 Scenario::Scenario(ScenarioSpec spec) : spec_{std::move(spec)} {
   spec_.expand_flow_sets();
   RRTCP_ASSERT_MSG(!spec_.flows.empty(), "scenario needs at least one flow");
-
-  // Engine-tier selection must precede every schedule (the hook asserts
-  // the wheel is empty); the fuzzer's equivalence oracle builds the same
-  // spec with the wheel off and expects byte-identical traces.
-  if (!spec_.timer_wheel) sim_.set_timer_wheel_enabled(false);
+  RRTCP_ASSERT_MSG(spec_.shard_count >= 1 && spec_.shard_count <= kMaxShardCount,
+                   "shard_count outside 1..kMaxShardCount");
 
   const bool dumbbell = spec_.graph.empty();
   if (dumbbell) lower_dumbbell(spec_);
-  graph_ = std::make_unique<topo::TopologyGraph>(sim_, spec_.graph);
+
+  // One simulator per shard; a graph the partitioner cannot cut comes back
+  // as one shard. Engine-tier selection must precede every schedule (the
+  // hook asserts the wheel is empty); the fuzzer's equivalence oracle
+  // builds the same spec with the wheel off and expects byte-identical
+  // traces.
+  part_ = topo::partition_graph(spec_.graph, spec_.shard_count);
+  const bool sharded = part_.n_shards > 1;
+  RRTCP_ASSERT_MSG(!sharded || !spec_.flow_maker,
+                   "flow_maker hooks need a one-shard scenario");
+  for (int s = 0; s < part_.n_shards; ++s) {
+    sims_.push_back(std::make_unique<sim::Simulator>());
+    if (!spec_.timer_wheel) sims_.back()->set_timer_wheel_enabled(false);
+  }
+  // Every node, and with it every endpoint and link attached there, lives
+  // on its shard's simulator. Nodes keep their global ids, so addressing
+  // and routing are those of the one-shard build.
+  auto sim_of = [this](int node) -> sim::Simulator& {
+    return *sims_[static_cast<std::size_t>(
+        part_.node_shard[static_cast<std::size_t>(node)])];
+  };
+  std::vector<sim::Simulator*> node_sim;
+  node_sim.reserve(spec_.graph.nodes.size());
+  for (int v = 0; v < spec_.graph.n_nodes(); ++v) node_sim.push_back(&sim_of(v));
+  graph_ = std::make_unique<topo::TopologyGraph>(node_sim, spec_.graph);
   if (dumbbell) {
     topo_ = std::make_unique<net::DumbbellTopology>(*graph_, spec_.topology);
     red_ = dynamic_cast<net::RedQueue*>(&graph_->link(0).queue());
     reverse_red_ = dynamic_cast<net::RedQueue*>(&graph_->link(1).queue());
   }
 
+  const app::SenderFactory& factory = app::SenderFactory::instance();
   flows_.reserve(spec_.flows.size());
   for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
     const FlowSpec& fs = spec_.flows[i];
@@ -244,10 +276,25 @@ Scenario::Scenario(ScenarioSpec spec) : spec_{std::move(spec)} {
     net::Node& snd = graph_->node(fs.src_node);
     net::Node& rcv = graph_->node(fs.dst_node);
     const auto id = static_cast<net::FlowId>(i + 1);
-    flows_.push_back(spec_.flow_maker
-                         ? spec_.flow_maker(sim_, snd, rcv, id, fs)
-                         : app::make_flow(fs.variant, sim_, snd, rcv, id,
-                                          fs.tcp));
+    if (spec_.flow_maker) {
+      app::Flow* f = arena_.create<app::Flow>(
+          spec_.flow_maker(sim(), snd, rcv, id, fs));
+      flows_.push_back({f->sender.get(), f->receiver.get()});
+      continue;
+    }
+    // Each endpoint runs on its own node's shard; a flow whose path
+    // crosses a cut has its two environments on different simulators.
+    auto* snd_env = arena_.create<env::SimEnvironment>(sim_of(fs.src_node),
+                                                       snd, rcv.id());
+    auto* rcv_env = arena_.create<env::SimEnvironment>(sim_of(fs.dst_node),
+                                                       rcv, snd.id());
+    const app::SenderFactory::Entry& entry = factory.at(fs.variant);
+    void* mem = arena_.allocate(entry.size, entry.align);
+    tcp::TcpSenderBase* sender = arena_.adopt(
+        factory.make_in(mem, fs.variant, *snd_env, id, fs.tcp));
+    tcp::TcpReceiver* receiver = arena_.create<tcp::TcpReceiver>(
+        *rcv_env, id, app::receiver_config_for(fs.variant, fs.tcp));
+    flows_.push_back({sender, receiver});
   }
 
   for (std::size_t j = 0; j < spec_.cross_traffic.size(); ++j) {
@@ -258,9 +305,9 @@ Scenario::Scenario(ScenarioSpec spec) : spec_{std::move(spec)} {
     const auto flow_id =
         static_cast<net::FlowId>(spec_.flows.size() + j + 1);
     net::Node& dst = graph_->node(cs.dst_node);
-    cbr_sinks_.push_back(std::make_unique<traffic::CbrSink>(dst, flow_id));
-    cbr_sources_.push_back(std::make_unique<traffic::CbrSource>(
-        sim_, graph_->node(cs.src_node), flow_id, dst.id(),
+    cbr_sinks_.push_back(arena_.create<traffic::CbrSink>(dst, flow_id));
+    cbr_sources_.push_back(arena_.create<traffic::CbrSource>(
+        sim_of(cs.src_node), graph_->node(cs.src_node), flow_id, dst.id(),
         traffic::CbrConfig{cs.rate_bps, cs.packet_bytes, cs.start, cs.stop}));
   }
 
@@ -271,24 +318,56 @@ Scenario::Scenario(ScenarioSpec spec) : spec_{std::move(spec)} {
   onoffs_.reserve(spec_.flows.size());
   for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
     const FlowSpec& fs = spec_.flows[i];
+    sim::Simulator& at = sim_of(fs.src_node);
     if (fs.onoff) {
       traffic::OnOffConfig oc = *fs.onoff;
       oc.start = fs.start;
       sources_.push_back(nullptr);
-      onoffs_.push_back(std::make_unique<traffic::OnOffSource>(
-          sim_, *flows_[i].sender, oc, spec_.seed,
+      onoffs_.push_back(arena_.create<traffic::OnOffSource>(
+          at, *flows_[i].sender, oc, spec_.seed,
           "onoff/" + std::to_string(i)));
     } else {
-      sources_.push_back(std::make_unique<app::FtpSource>(
-          sim_, *flows_[i].sender, fs.start, fs.bytes));
+      sources_.push_back(arena_.create<app::FtpSource>(
+          at, *flows_[i].sender, fs.start, fs.bytes));
       onoffs_.push_back(nullptr);
     }
   }
 
-  instrumentation_ = std::make_unique<Instrumentation>(sim_, spec_.instruments);
-  for (app::Flow& f : flows_)
-    instrumentation_->attach(*f.sender, f.receiver.get());
+  // Instrumentation hangs off shard 0. Above one shard only the tracers
+  // attach (they are plain sender observers and stay shard-local): an
+  // audit session and the watchdog span both endpoints of a flow, which
+  // may live on different shards.
+  InstrumentationOptions opts = spec_.instruments;
+  if (sharded) {
+    opts.audit = AuditMode::kNone;
+    opts.watchdog = false;
+  }
+  instrumentation_ = std::make_unique<Instrumentation>(sim(), opts);
+  for (const FlowEnds& f : flows_)
+    instrumentation_->attach(*f.sender, f.receiver);
   instrumentation_->attach_queues(*graph_, spec_.audited_links);
+
+  if (sharded) {
+    std::vector<sim::Simulator*> shards;
+    for (const auto& s : sims_) shards.push_back(s.get());
+    engine_ = std::make_unique<pdes::ShardEngine>(std::move(shards), part_,
+                                                  *graph_);
+  }
+}
+
+Scenario::~Scenario() = default;
+
+std::uint64_t Scenario::run() {
+  return engine_ ? engine_->run(spec_.horizon)
+                 : sim().run_until(spec_.horizon);
+}
+
+std::uint64_t Scenario::rounds() const {
+  return engine_ ? engine_->rounds() : 0;
+}
+
+std::uint64_t Scenario::cross_shard_packets() const {
+  return engine_ ? engine_->cross_shard_packets() : 0;
 }
 
 }  // namespace rrtcp::harness

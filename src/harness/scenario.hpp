@@ -35,9 +35,20 @@
 // both modes share one validator and one builder; a graph-mode spec that
 // sets a dumbbell-only field is rejected.
 //
-// Member order in Scenario is its teardown contract: instrumentation
-// detaches first, then traffic sources stop, then flows die, then the
-// topology, then the simulator.
+// One engine for every shard count: the builder partitions spec.graph
+// into spec.shard_count shards (topo::partition_graph; a dumbbell is
+// pinned to one, a graph that cannot be cut comes back as one), owns one
+// simulator per shard, and builds every node's links and endpoints on its
+// shard's simulator. All per-flow state — environments, endpoints, CBR and
+// traffic sources — lives in one pdes::FlowArena. With one shard, run() is
+// sim().run_until(horizon) on the calling thread; with more,
+// pdes::ShardEngine runs conservative lookahead rounds on worker threads
+// (DESIGN.md §17), audit and watchdog are forced off and flow_maker is
+// refused.
+//
+// Member order in Scenario is its teardown contract: the shard workers
+// stop first, then instrumentation detaches, then the arena tears down
+// traffic sources before flows, then the topology, then the simulators.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +64,18 @@
 #include "harness/instrumentation.hpp"
 #include "net/dumbbell.hpp"
 #include "net/red.hpp"
+#include "pdes/flow_arena.hpp"
 #include "sim/assert.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/types.hpp"
 #include "topo/graph.hpp"
+#include "topo/partition.hpp"
 #include "traffic/cbr.hpp"
 #include "traffic/onoff.hpp"
+
+namespace rrtcp::pdes {
+class ShardEngine;
+}  // namespace rrtcp::pdes
 
 namespace rrtcp::harness {
 
@@ -152,6 +169,7 @@ struct SpecError {
     kBadEndpoint,   // flow src/dst missing or outside the node set
     kUnroutable,    // no path between a flow's endpoints (either direction)
     kBadCbr,        // cross-traffic endpoints/rate/packet size invalid
+    kBadShardCount, // shard_count outside 1..kMaxShardCount
   };
   Code code;
   std::string detail;
@@ -159,10 +177,11 @@ struct SpecError {
 
 const char* to_string(SpecError::Code c);
 
-// Upper bound CLI front ends accept for ScenarioSpec::shard_count. Purely
-// a sanity rail for --shards typos: the partitioner itself clamps to the
-// subgraph count, so any larger value could only waste idle worker
-// threads.
+// Upper bound for ScenarioSpec::shard_count, enforced by
+// Scenario::validate and the CLI front ends' --shards. The partitioner
+// clamps only to the number of components left after contracting
+// zero-delay links, which on a large graph can approach its node count —
+// and each shard gets a worker thread.
 inline constexpr int kMaxShardCount = 64;
 
 struct ScenarioSpec {
@@ -187,20 +206,20 @@ struct ScenarioSpec {
   std::vector<FlowSet> flow_sets;
   std::vector<CbrSpec> cross_traffic;
   InstrumentationOptions instruments = {};
-  // Engine shards for the pdes::ShardedScenario runner (graph mode only;
-  // requires every cut to have positive delay — see topo/partition.hpp).
-  // The plain Scenario runner ignores it: 1 means "today's single engine",
-  // and pdes delegates to exactly that path, byte-identically. CLI front
-  // ends (--shards) accept 1..kMaxShardCount; the partitioner clamps to
-  // the number of subgraphs the topology actually yields.
+  // Engine shards, 1..kMaxShardCount (validate() rejects anything else).
+  // Scenario partitions the graph into at most this many shards, cutting
+  // only positive-delay links (topo/partition.hpp); the partitioner clamps
+  // to the number of subgraphs the topology actually yields, and a
+  // dumbbell always runs on one shard. One shard is the plain
+  // single-threaded engine.
   int shard_count = 1;
   // Seeds randomized components (RED drop RNG, ON/OFF sources); pass the
   // sweep's derived per-job seed here.
   std::uint64_t seed = 1;
   sim::Time horizon = sim::Time::seconds(60);
-  // Test/fuzz hook: when set, builds flow i in place of app::make_flow,
-  // letting campaigns and the chaos soak drive intentionally broken
-  // senders through the standard build path.
+  // Test/fuzz hook: when set, builds flow i in place of the standard
+  // endpoints, letting campaigns and the chaos soak drive intentionally
+  // broken senders through the standard build path. One shard only.
   std::function<app::Flow(sim::Simulator&, net::Node& snd, net::Node& rcv,
                           net::FlowId id, const FlowSpec& fs)>
       flow_maker;
@@ -254,17 +273,26 @@ struct ScenarioSpec {
   }
 };
 
+// Raw views of one flow's two endpoints; the scenario owns them.
+struct FlowEnds {
+  tcp::TcpSenderBase* sender = nullptr;
+  tcp::TcpReceiver* receiver = nullptr;
+};
+
 class Scenario {
  public:
   explicit Scenario(ScenarioSpec spec);
+  ~Scenario();
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
 
   // Structural validation of a spec WITHOUT building anything: empty flow
-  // set, non-positive rates, invalid link/route/flow/CBR endpoints,
-  // unroutable src/dst pairs (along the graph's static routes, both
-  // directions — ACKs must get home too). Returns nullopt when the spec is
-  // buildable. The constructor only asserts a few backstops; generated
-  // specs go through here (or try_build) so a bad sample is a discard,
-  // not a crash.
+  // set, shard count out of range, non-positive rates, invalid
+  // link/route/flow/CBR endpoints, unroutable src/dst pairs (along the
+  // graph's static routes, both directions — ACKs must get home too).
+  // Returns nullopt when the spec is buildable. The constructor only
+  // asserts a few backstops; generated specs go through here (or
+  // try_build) so a bad sample is a discard, not a crash.
   static std::optional<SpecError> validate(const ScenarioSpec& in);
 
   // validate() + construct: nullptr (with *err filled when non-null) on a
@@ -272,25 +300,31 @@ class Scenario {
   static std::unique_ptr<Scenario> try_build(ScenarioSpec spec,
                                              SpecError* err = nullptr);
 
-  sim::Simulator& sim() { return sim_; }
+  // Shard 0's simulator: the only one unless sharded().
+  sim::Simulator& sim() { return *sims_.front(); }
   // Dumbbell mode only: a view over graph().
   net::DumbbellTopology& topology() {
     RRTCP_ASSERT_MSG(topo_ != nullptr, "topology() needs a dumbbell-mode spec");
     return *topo_;
   }
-  // The underlying graph, in either mode.
+  // The underlying graph, in either mode, at every shard count.
   topo::TopologyGraph& graph() { return *graph_; }
+  // Link by the GraphSpec's index, whichever shard owns it.
+  net::Link& link(int i) { return graph_->link(i); }
 
   int n_flows() const { return static_cast<int>(flows_.size()); }
-  app::Flow& flow(int i) { return flows_.at(static_cast<std::size_t>(i)); }
+  const FlowEnds& flow(int i) const {
+    return flows_.at(static_cast<std::size_t>(i));
+  }
   tcp::TcpSenderBase& sender(int i) { return *flow(i).sender; }
+  tcp::TcpReceiver& receiver(int i) { return *flow(i).receiver; }
   // The FTP source of flow i; null for ON/OFF flows (see onoff()).
   app::FtpSource* source(int i) {
-    return sources_.at(static_cast<std::size_t>(i)).get();
+    return sources_.at(static_cast<std::size_t>(i));
   }
   // The ON/OFF source of flow i; null for FTP flows.
   traffic::OnOffSource* onoff(int i) {
-    return onoffs_.at(static_cast<std::size_t>(i)).get();
+    return onoffs_.at(static_cast<std::size_t>(i));
   }
   FlowInstruments& instruments(int i) {
     return instrumentation_->flow(static_cast<std::size_t>(i));
@@ -311,11 +345,27 @@ class Scenario {
   // for one (else nullptr).
   net::RedQueue* reverse_red() { return reverse_red_; }
 
-  // Runs to the spec's horizon (or an explicit deadline); returns events
-  // executed.
-  std::uint64_t run() { return sim_.run_until(spec_.horizon); }
+  // Shards the graph was cut into: spec.shard_count clamped by the
+  // partitioner, 1 for a dumbbell.
+  int n_shards() const { return part_.n_shards; }
+  bool sharded() const { return n_shards() > 1; }
+  // min propagation delay over the cut links; zero with one shard.
+  sim::Time lookahead() const { return part_.lookahead; }
+  // Synchronized rounds run and packets handed across a cut; 0 with one
+  // shard.
+  std::uint64_t rounds() const;
+  std::uint64_t cross_shard_packets() const;
+  // Backing store of every flow endpoint, environment and traffic source.
+  pdes::FlowArena& arena() { return arena_; }
+
+  // Runs to the spec's horizon; returns events executed across all
+  // shards. With one shard this is sim().run_until(horizon) on the
+  // calling thread; with more, pdes::ShardEngine's rounds.
+  std::uint64_t run();
+  // One shard only: runs to an explicit deadline (callable repeatedly).
   std::uint64_t run_until(sim::Time deadline) {
-    return sim_.run_until(deadline);
+    RRTCP_ASSERT_MSG(!sharded(), "run_until needs a one-shard scenario");
+    return sim().run_until(deadline);
   }
 
   // The spec as built: flow sets expanded, a dumbbell spec lowered.
@@ -323,17 +373,24 @@ class Scenario {
 
  private:
   ScenarioSpec spec_;
-  sim::Simulator sim_;
+  topo::Partition part_;
+  std::vector<std::unique_ptr<sim::Simulator>> sims_;  // one per shard
   std::unique_ptr<topo::TopologyGraph> graph_;
   std::unique_ptr<net::DumbbellTopology> topo_;  // dumbbell mode: a view
   net::RedQueue* red_ = nullptr;
   net::RedQueue* reverse_red_ = nullptr;
-  std::vector<app::Flow> flows_;
-  std::vector<std::unique_ptr<app::FtpSource>> sources_;      // per flow
-  std::vector<std::unique_ptr<traffic::OnOffSource>> onoffs_; // per flow
-  std::vector<std::unique_ptr<traffic::CbrSource>> cbr_sources_;
-  std::vector<std::unique_ptr<traffic::CbrSink>> cbr_sinks_;
+  // Owns the flows' environments and endpoints, the CBR sinks and sources
+  // and the per-flow traffic sources, destroyed in reverse construction
+  // order (sources first) before the graph and the simulators.
+  pdes::FlowArena arena_;
+  std::vector<FlowEnds> flows_;
+  std::vector<app::FtpSource*> sources_;       // per flow; null for ON/OFF
+  std::vector<traffic::OnOffSource*> onoffs_;  // per flow; null for FTP
+  std::vector<traffic::CbrSource*> cbr_sources_;
+  std::vector<traffic::CbrSink*> cbr_sinks_;
   std::unique_ptr<Instrumentation> instrumentation_;
+  // Present only when sharded(); destroyed first, stopping its workers.
+  std::unique_ptr<pdes::ShardEngine> engine_;
 };
 
 }  // namespace rrtcp::harness

@@ -76,9 +76,8 @@ SweepTiming run_sweep(const std::vector<SweepJob>& jobs, ResultSink& sink,
 //   --threads=N       worker threads (default: env/hardware as above)
 //   --seed=S          base seed for per-job seed derivation (default 1)
 //   --shards=N        engine shards per scenario, 1..kMaxShardCount
-//                     (pdes::ShardedScenario; dumbbell-mode and
-//                     unpartitionable specs delegate to the single
-//                     engine, so 1 — the default — is always safe)
+//                     (dumbbell-mode and unpartitionable specs run on
+//                     one shard, so 1 — the default — is always safe)
 //   --csv=PATH        write the sweep's CSV to PATH
 //   --json=PATH       write the sweep's JSON to PATH
 //   --list-variants   ask the binary to print the sender registry and exit

@@ -20,7 +20,9 @@ void* FlowArena::allocate(std::size_t size, std::size_t align) {
   RRTCP_ASSERT(align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
   const std::size_t bsize = size > block_bytes_ ? size : block_bytes_;
   Block b;
-  b.mem = std::make_unique<std::byte[]>(bsize);
+  // Uninitialized: only the pages objects are placed in become resident,
+  // so a scenario with a handful of flows does not pin a whole block.
+  b.mem = std::make_unique_for_overwrite<std::byte[]>(bsize);
   b.size = bsize;
   b.used = size;
   bytes_used_ += size;

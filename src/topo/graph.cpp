@@ -48,8 +48,19 @@ int GraphSpec::add_duplex(int a, int b, std::int64_t bandwidth_bps,
 }
 
 TopologyGraph::TopologyGraph(sim::Simulator& sim, GraphSpec spec)
-    : sim_{sim}, spec_{std::move(spec)} {
+    : spec_{std::move(spec)} {
+  build(std::vector<sim::Simulator*>(spec_.nodes.size(), &sim));
+}
+
+TopologyGraph::TopologyGraph(const std::vector<sim::Simulator*>& node_sim,
+                             GraphSpec spec)
+    : spec_{std::move(spec)} {
+  build(node_sim);
+}
+
+void TopologyGraph::build(const std::vector<sim::Simulator*>& node_sim) {
   RRTCP_ASSERT_MSG(!spec_.empty(), "topology graph needs at least one node");
+  RRTCP_ASSERT(node_sim.size() == spec_.nodes.size());
 
   nodes_.reserve(spec_.nodes.size());
   for (std::size_t i = 0; i < spec_.nodes.size(); ++i)
@@ -57,11 +68,12 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, GraphSpec spec)
 
   links_.reserve(spec_.links.size());
   for (const LinkSpec& ls : spec_.links) {
+    sim::Simulator& sim = *node_sim[static_cast<std::size_t>(ls.from)];
     net::LinkConfig lc{ls.bandwidth_bps, ls.delay, ls.name};
     auto queue = ls.make_queue
-                     ? ls.make_queue(sim_)
+                     ? ls.make_queue(sim)
                      : std::make_unique<net::DropTailQueue>(ls.queue_packets);
-    auto link = std::make_unique<net::Link>(sim_, std::move(lc),
+    auto link = std::make_unique<net::Link>(sim, std::move(lc),
                                             std::move(queue));
     link->set_dst(nodes_[static_cast<std::size_t>(ls.to)].get());
     links_.push_back(std::move(link));
@@ -72,9 +84,9 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, GraphSpec spec)
 
 void TopologyGraph::compute_routes() {
   const int n = n_nodes();
-  // Shared with the sharded engine (topo/partition.hpp): both compute
-  // next-hops on the full spec, so forwarding is identical at every shard
-  // count.
+  // Next-hops on the full spec (topo/partition.hpp): every route entry at
+  // node v names a link leaving v, which v's shard owns, so forwarding is
+  // shard-local and identical at every shard count.
   table_ = compute_route_table(spec_);
 
   // Install on the nodes.

@@ -75,7 +75,12 @@ struct GraphSpec {
 
 class TopologyGraph {
  public:
+  // Every node on one simulator.
   TopologyGraph(sim::Simulator& sim, GraphSpec spec);
+  // Node i on *node_sim[i]: each link (and its queue) is built on the
+  // simulator of its tail node, as the sharded engine needs. Cut links get
+  // their cross-shard sink afterwards (net::Link::set_remote_sink).
+  TopologyGraph(const std::vector<sim::Simulator*>& node_sim, GraphSpec spec);
   TopologyGraph(const TopologyGraph&) = delete;
   TopologyGraph& operator=(const TopologyGraph&) = delete;
 
@@ -106,9 +111,9 @@ class TopologyGraph {
   const GraphSpec& spec() const { return spec_; }
 
  private:
+  void build(const std::vector<sim::Simulator*>& node_sim);
   void compute_routes();
 
-  sim::Simulator& sim_;
   GraphSpec spec_;
   std::vector<std::unique_ptr<net::Node>> nodes_;
   std::vector<std::unique_ptr<net::Link>> links_;

@@ -168,6 +168,22 @@ TEST(SpecValidate, BadCbrRejected) {
   EXPECT_EQ(code_of(spec), Code::kBadCbr);
 }
 
+// Validate-only: an out-of-range shard count must be refused before
+// anything is built, since each shard gets its own worker thread.
+TEST(SpecValidate, ShardCountOutOfRangeRejected) {
+  for (const int shards : {0, -1, kMaxShardCount + 1}) {
+    ScenarioSpec spec = minimal_graph();
+    spec.shard_count = shards;
+    EXPECT_EQ(code_of(spec), Code::kBadShardCount) << shards;
+    spec = minimal_dumbbell();
+    spec.shard_count = shards;
+    EXPECT_EQ(code_of(spec), Code::kBadShardCount) << shards;
+  }
+  ScenarioSpec spec = minimal_graph();
+  spec.shard_count = kMaxShardCount;
+  EXPECT_EQ(code_of(spec), std::nullopt);
+}
+
 TEST(SpecValidate, TryBuildReportsTheError) {
   ScenarioSpec spec = minimal_dumbbell();
   spec.flows.clear();
@@ -187,6 +203,7 @@ TEST(SpecValidate, CodeNamesAreStable) {
   EXPECT_STREQ(to_string(Code::kBadEndpoint), "bad-endpoint");
   EXPECT_STREQ(to_string(Code::kUnroutable), "unroutable");
   EXPECT_STREQ(to_string(Code::kBadCbr), "bad-cbr");
+  EXPECT_STREQ(to_string(Code::kBadShardCount), "bad-shard-count");
 }
 
 }  // namespace

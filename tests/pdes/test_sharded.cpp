@@ -2,8 +2,9 @@
 //
 // The headline pin lives here: one ScenarioSpec run at shard counts
 // {1, 2, 4, 8} must produce IDENTICAL per-flow trace digests, where the
-// shard_count = 1 leg is the plain single-engine harness::Scenario (the
-// delegation path) — i.e. sharding is invisible in every flow's trace.
+// shard_count = 1 leg is harness::Scenario's plain single-threaded run —
+// i.e. sharding is invisible in every flow's trace. (The tests keep the
+// suite name ShardedScenario, the old name of the sharded runner.)
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,13 +12,13 @@
 
 #include "fuzz/digest.hpp"
 #include "harness/scenario.hpp"
-#include "pdes/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "topo/presets.hpp"
 
 namespace rrtcp::pdes {
 namespace {
 
+using harness::Scenario;
 using sim::Time;
 
 TEST(RunBefore, FiresStrictlyBeforeDeadlineAndAdvancesClock) {
@@ -95,7 +96,7 @@ TEST(FlowSet, ValidateAndBuildSeeTheExpandedFlows) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedScenario
+// Scenario at several shard counts
 // ---------------------------------------------------------------------------
 
 // An N x M dumbbell whose access links carry real propagation delay, so the
@@ -133,7 +134,7 @@ harness::ScenarioSpec sharded_md_spec(int shards, int n_flows = 8) {
   return spec;
 }
 
-std::vector<std::uint64_t> per_flow_digests(ShardedScenario& sc) {
+std::vector<std::uint64_t> per_flow_digests(Scenario& sc) {
   const int n = sc.n_flows();
   std::vector<fuzz::TraceDigest> digests(static_cast<std::size_t>(n));
   std::vector<std::unique_ptr<fuzz::DigestObserver>> observers;
@@ -151,27 +152,40 @@ std::vector<std::uint64_t> per_flow_digests(ShardedScenario& sc) {
   return out;
 }
 
-TEST(ShardedScenario, SingleShardDelegatesToPlainScenario) {
-  ShardedScenario sc{sharded_md_spec(/*shards=*/1)};
+// One shard is the plain engine: run() is run_until(horizon) on the
+// calling thread, with no rounds and no cross-shard channel.
+TEST(ShardedScenario, SingleShardRunsWithoutRounds) {
+  Scenario sc{sharded_md_spec(/*shards=*/1)};
   EXPECT_FALSE(sc.sharded());
-  EXPECT_NE(sc.single(), nullptr);
   EXPECT_EQ(sc.n_shards(), 1);
+  const std::uint64_t events = sc.run();
+  EXPECT_EQ(events, sc.sim().events_executed());
+  EXPECT_EQ(sc.rounds(), 0u);
+  EXPECT_EQ(sc.cross_shard_packets(), 0u);
+  EXPECT_GT(sc.arena().objects(), 0u);
 }
 
-TEST(ShardedScenario, DumbbellModeDelegates) {
-  harness::ScenarioSpec spec;  // graph empty => dumbbell mode
-  spec.shard_count = 4;
-  spec.horizon = Time::seconds(2);
-  harness::FlowSpec f;
-  f.bytes = 10'000;
-  spec.add_flow(f);
-  ShardedScenario sc{std::move(spec)};
-  EXPECT_FALSE(sc.sharded());
-  sc.run();
-  EXPECT_TRUE(sc.sender(0).complete());
+TEST(ShardedScenario, DumbbellSpecRunsOnOneShard) {
+  auto dumbbell = [](int shards) {
+    harness::ScenarioSpec spec;  // graph empty => dumbbell mode
+    spec.shard_count = shards;
+    spec.horizon = Time::seconds(4);
+    spec.add_flow({.variant = app::Variant::kRr, .bytes = 10'000});
+    spec.add_flow({.variant = app::Variant::kNewReno,
+                   .start = Time::milliseconds(50),
+                   .bytes = 10'000});
+    return spec;
+  };
+  Scenario one{dumbbell(1)};
+  Scenario four{dumbbell(4)};
+  EXPECT_EQ(four.n_shards(), 1);
+  EXPECT_EQ(four.spec().shard_count, 1);
+  EXPECT_EQ(per_flow_digests(four), per_flow_digests(one));
+  EXPECT_TRUE(four.sender(0).complete());
+  EXPECT_TRUE(four.sender(1).complete());
 }
 
-TEST(ShardedScenario, UnpartitionableGraphDelegates) {
+TEST(ShardedScenario, UnpartitionableGraphRunsOnOneShard) {
   topo::GraphSpec g;
   g.add_node("A");
   g.add_node("B");
@@ -185,14 +199,14 @@ TEST(ShardedScenario, UnpartitionableGraphDelegates) {
   f.src_node = 0;
   f.dst_node = 1;
   spec.add_flow(f);
-  ShardedScenario sc{std::move(spec)};
-  EXPECT_FALSE(sc.sharded());
+  Scenario sc{std::move(spec)};
+  EXPECT_EQ(sc.n_shards(), 1);
   sc.run();
   EXPECT_TRUE(sc.sender(0).complete());
 }
 
 TEST(ShardedScenario, ShardedRunMakesProgressAcrossShards) {
-  ShardedScenario sc{sharded_md_spec(/*shards=*/4)};
+  Scenario sc{sharded_md_spec(/*shards=*/4)};
   ASSERT_TRUE(sc.sharded());
   EXPECT_EQ(sc.n_shards(), 4);
   EXPECT_GT(sc.lookahead(), Time::zero());
@@ -208,12 +222,12 @@ TEST(ShardedScenario, ShardedRunMakesProgressAcrossShards) {
 // The determinism contract (DESIGN.md §17): identical per-flow traces at
 // every shard count, with the 1-shard leg being the plain single engine.
 TEST(ShardedScenario, PerFlowTracesIdenticalAcrossShardCounts) {
-  ShardedScenario single{sharded_md_spec(/*shards=*/1)};
+  Scenario single{sharded_md_spec(/*shards=*/1)};
   ASSERT_FALSE(single.sharded());
   const std::vector<std::uint64_t> baseline = per_flow_digests(single);
 
   for (const int shards : {2, 4, 8}) {
-    ShardedScenario sc{sharded_md_spec(shards)};
+    Scenario sc{sharded_md_spec(shards)};
     ASSERT_TRUE(sc.sharded()) << shards << " shards";
     EXPECT_EQ(sc.n_shards(), shards);
     EXPECT_EQ(per_flow_digests(sc), baseline) << shards << " shards";
@@ -223,17 +237,17 @@ TEST(ShardedScenario, PerFlowTracesIdenticalAcrossShardCounts) {
 // Same engine, same shard count, two runs: thread scheduling must not be
 // able to reorder anything observable.
 TEST(ShardedScenario, RepeatedShardedRunsAreIdentical) {
-  ShardedScenario a{sharded_md_spec(/*shards=*/4)};
-  ShardedScenario b{sharded_md_spec(/*shards=*/4)};
+  Scenario a{sharded_md_spec(/*shards=*/4)};
+  Scenario b{sharded_md_spec(/*shards=*/4)};
   EXPECT_EQ(per_flow_digests(a), per_flow_digests(b));
 }
 
 // Final sender state must agree with the single engine too — digests pin
 // the event stream, these pin the outcome a benchmark would report.
 TEST(ShardedScenario, FinalSenderStateMatchesSingleEngine) {
-  ShardedScenario single{sharded_md_spec(/*shards=*/1)};
+  Scenario single{sharded_md_spec(/*shards=*/1)};
   single.run();
-  ShardedScenario sharded{sharded_md_spec(/*shards=*/4)};
+  Scenario sharded{sharded_md_spec(/*shards=*/4)};
   sharded.run();
   ASSERT_EQ(single.n_flows(), sharded.n_flows());
   for (int i = 0; i < single.n_flows(); ++i) {
@@ -247,7 +261,7 @@ TEST(ShardedScenario, TryBuildRejectsInvalidSpecs) {
   harness::ScenarioSpec spec = sharded_md_spec(4);
   spec.flows.clear();  // kNoFlows
   harness::SpecError err;
-  EXPECT_EQ(ShardedScenario::try_build(std::move(spec), &err), nullptr);
+  EXPECT_EQ(Scenario::try_build(std::move(spec), &err), nullptr);
   EXPECT_EQ(err.code, harness::SpecError::Code::kNoFlows);
 }
 
@@ -274,7 +288,7 @@ TEST(ShardedScenario, FlowSetsExpandInShardedMode) {
   set.dst_step = 1;
   spec.add_flow_set(set);
 
-  ShardedScenario sc{std::move(spec)};
+  Scenario sc{std::move(spec)};
   ASSERT_TRUE(sc.sharded());
   EXPECT_EQ(sc.n_flows(), 4);
   sc.run();
